@@ -250,7 +250,7 @@ func run(fig string, opts bench.Options, csvPath string, estCfg bench.EstBenchCo
 			if err := bench.GateDP(report, gatePath, 0.10); err != nil {
 				return err
 			}
-			fmt.Printf("gate: ok (0 allocs/op on cached path, ratio within 10%% of %s)\n", gatePath)
+			fmt.Printf("gate: ok (0 allocs/op on cached path, cold allocs/op within 5%% and ratio within 10%% of %s)\n", gatePath)
 		}
 		return nil
 	case "robust":

@@ -65,6 +65,13 @@ type DPBenchCell struct {
 	CachedNsPerOp     float64 `json:"cached_ns_per_op"`
 	CachedAllocsPerOp float64 `json:"cached_allocs_per_op"`
 	CachedBytesPerOp  float64 `json:"cached_bytes_per_op"`
+
+	// Cold-path heap traffic: the optimized variant against a full
+	// cross-query selectivity cache that never hits, so every lookup misses
+	// and every publish evicts — the path each new constant takes. GateDP
+	// bounds ColdAllocsPerOp relative to the committed artifact.
+	ColdAllocsPerOp float64 `json:"cold_allocs_per_op"`
+	ColdBytesPerOp  float64 `json:"cold_bytes_per_op"`
 }
 
 // DPBenchReport is the machine-readable BENCH_dp.json artifact.
@@ -156,6 +163,8 @@ func (e *Env) DPBench(cfg DPBenchConfig) DPBenchReport {
 				cell.Speedup = cell.BaselineNsPerOp / cell.OptimizedNsPerOp
 				cell.CachedNsPerOp, cell.CachedAllocsPerOp, cell.CachedBytesPerOp =
 					cachedVariant(e, pool, model, exhaustive, queries, cfg)
+				cell.ColdAllocsPerOp, cell.ColdBytesPerOp =
+					coldVariant(e, pool, model, exhaustive, queries)
 				report.Cells = append(report.Cells, cell)
 			}
 		}
@@ -225,6 +234,68 @@ func cachedVariant(e *Env, pool *sit.Pool, model core.ErrorModel, exhaustive boo
 	return nsPerOp, allocsPerOp, bytesPerOp
 }
 
+// coldSelCacheCap is the cold variant's cache capacity: the default
+// service cache size, so a publish scans shards of the deployed size.
+const coldSelCacheCap = 4096
+
+// coldVariant measures the selectivity-cache miss path's heap traffic: the
+// optimized estimate (NewRun, GetSelectivity, EstimateCardinality, Release)
+// against a SelCache already at capacity with entries of another
+// generation, so every lookup misses and every publish evicts. Before each
+// op, outside the measured window, the previous op's entries are evicted,
+// the cache is refilled with stale-generation entries and the
+// histogram-join cache is reset, so every op repeats the same work. One
+// unmeasured pass settles the run-context pool first; the collector is
+// paused throughout so it cannot empty that pool mid-measurement. Counts
+// come from per-op ReadMemStats deltas (Mallocs / TotalAlloc).
+func coldVariant(e *Env, pool *sit.Pool, model core.ErrorModel, exhaustive bool,
+	queries []*engine.Query) (allocsPerOp, bytesPerOp float64) {
+	est := core.NewEstimator(e.DB.Cat, pool, model)
+	est.Exhaustive = exhaustive
+	cache := core.NewSelCache(coldSelCacheCap)
+	est.Cache = cache
+
+	// No pool ever has this generation, so stale entries never match.
+	const staleGen = ^uint64(0)
+	var filler uint64
+	refill := func() {
+		cache.EvictIf(func(k core.CacheKey) bool { return k.Gen != staleGen })
+		for st := cache.Stats(); st.Entries < st.Capacity; st = cache.Stats() {
+			for i := 0; i < 64; i++ {
+				filler++
+				cache.Put(core.CacheKey{Model: model.Name(), Gen: staleGen,
+					Sig: engine.PredSig{Hash: filler}}, core.CacheEntry{})
+			}
+		}
+		core.ResetHistJoinCache()
+	}
+	op := func(q *engine.Query) {
+		r := est.NewRun(q)
+		r.GetSelectivity(q.All())
+		r.EstimateCardinality(q.All())
+		r.Release()
+	}
+
+	prevGC := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(prevGC)
+	for _, q := range queries {
+		refill()
+		op(q)
+	}
+	var mallocs, bytes uint64
+	for _, q := range queries {
+		refill()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op(q)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	ops := float64(len(queries))
+	return float64(mallocs) / ops, float64(bytes) / ops
+}
+
 // WriteDPJSON writes the report inside the shared bench envelope.
 func WriteDPJSON(w io.Writer, r DPBenchReport) error {
 	return WriteReport(w, "dp", r.Seed, r)
@@ -234,16 +305,18 @@ func WriteDPJSON(w io.Writer, r DPBenchReport) error {
 func RenderDP(w io.Writer, r DPBenchReport) {
 	fmt.Fprintf(w, "getSelectivity hot path — %d queries/size × %d iters, pool J%d (seed %d)\n\n",
 		r.Queries, r.Iters, r.PoolJoins, r.Seed)
-	fmt.Fprintf(w, "%4s %6s %12s %14s %14s %9s %12s %12s %12s %10s %10s\n",
+	fmt.Fprintf(w, "%4s %6s %12s %14s %14s %9s %12s %12s %12s %10s %10s %12s %12s\n",
 		"n", "model", "mode", "baseline", "optimized", "speedup",
-		"match(base)", "match(opt)", "cached", "allocs/op", "B/op")
+		"match(base)", "match(opt)", "cached", "allocs/op", "B/op",
+		"cold allocs", "cold B/op")
 	for _, c := range r.Cells {
-		fmt.Fprintf(w, "%4d %6s %12s %14s %14s %8.2fx %12d %12d %12s %10.1f %10.1f\n",
+		fmt.Fprintf(w, "%4d %6s %12s %14s %14s %8.2fx %12d %12d %12s %10.1f %10.1f %12.1f %12.0f\n",
 			c.N, c.Model, c.Mode,
 			time.Duration(c.BaselineNsPerOp).Round(time.Microsecond),
 			time.Duration(c.OptimizedNsPerOp).Round(time.Microsecond),
 			c.Speedup, c.BaselineMatchCalls, c.OptimizedMatchCalls,
 			time.Duration(c.CachedNsPerOp).Round(time.Microsecond),
-			c.CachedAllocsPerOp, c.CachedBytesPerOp)
+			c.CachedAllocsPerOp, c.CachedBytesPerOp,
+			c.ColdAllocsPerOp, c.ColdBytesPerOp)
 	}
 }

@@ -10,12 +10,19 @@ import (
 // the committed BENCH_dp.json artifact, it fails if either memory-discipline
 // or performance regressed.
 //
-// Two checks, per cell:
+// Three checks, per cell:
 //
 //   - Allocation: the cached path must allocate nothing — CachedAllocsPerOp
 //     must be exactly zero. This is absolute, not relative to the artifact:
 //     zero is the contract, and a "small" regression to 2 allocs/op is still
 //     a broken contract.
+//
+//   - Cold allocation: the cache-miss path's ColdAllocsPerOp may not exceed
+//     the artifact's by more than coldAllocRegress. The count repeats
+//     exactly run to run and moves by well under that bound with the fact
+//     table size, so the check holds across machines and CI's smaller
+//     -fact. A committed cell without the count (an artifact that predates
+//     it) is not checked.
 //
 //   - Time: CI machines are slower and noisier than the machine that
 //     produced the committed artifact, so raw ns/op can't be compared across
@@ -41,6 +48,10 @@ import (
 // failing a build over, an order of magnitude above timer noise on a
 // microsecond-scale measurement.
 const gateRatioSlack = 0.005
+
+// coldAllocRegress is the relative bound on cold-path allocations/op over
+// the committed artifact (see the Cold allocation check above).
+const coldAllocRegress = 0.05
 
 func GateDP(fresh DPBenchReport, artifactPath string, maxRegress float64) error {
 	f, err := os.Open(artifactPath)
@@ -77,7 +88,15 @@ func GateDP(fresh DPBenchReport, artifactPath string, maxRegress float64) error 
 				c.N, c.Model, c.Mode, c.CachedAllocsPerOp, c.CachedBytesPerOp))
 		}
 		base, ok := committed[cellKey{c.N, c.Model, c.Mode}]
-		if !ok || base.OptimizedNsPerOp <= 0 || base.CachedNsPerOp <= 0 || c.OptimizedNsPerOp <= 0 {
+		if !ok {
+			continue
+		}
+		if base.ColdAllocsPerOp > 0 && c.ColdAllocsPerOp > base.ColdAllocsPerOp*(1+coldAllocRegress) {
+			violations = append(violations, fmt.Sprintf(
+				"n=%d %s/%s: cold path allocates %.1f objects/op, committed %.1f (+%.0f%% allowed)",
+				c.N, c.Model, c.Mode, c.ColdAllocsPerOp, base.ColdAllocsPerOp, coldAllocRegress*100))
+		}
+		if base.OptimizedNsPerOp <= 0 || base.CachedNsPerOp <= 0 || c.OptimizedNsPerOp <= 0 {
 			continue
 		}
 		freshRatio := c.CachedNsPerOp / c.OptimizedNsPerOp

@@ -27,9 +27,9 @@ func TestGateDP(t *testing.T) {
 	t.Parallel()
 	base := []DPBenchCell{
 		{N: 8, Model: "Diff", Mode: "exhaustive",
-			OptimizedNsPerOp: 2_000_000, CachedNsPerOp: 2_000},
+			OptimizedNsPerOp: 2_000_000, CachedNsPerOp: 2_000, ColdAllocsPerOp: 10_000},
 		{N: 8, Model: "nInd", Mode: "singleton",
-			OptimizedNsPerOp: 1_000_000, CachedNsPerOp: 1_500},
+			OptimizedNsPerOp: 1_000_000, CachedNsPerOp: 1_500, ColdAllocsPerOp: 4_000},
 	}
 	path := gateArtifact(t, base)
 
@@ -63,6 +63,24 @@ func TestGateDP(t *testing.T) {
 		fresh[1].CachedNsPerOp = base[1].CachedNsPerOp * 2 // +1.5µs, ratio 0.003
 		if err := GateDP(DPBenchReport{Cells: fresh}, path, 0.10); err != nil {
 			t.Fatalf("sub-slack wobble should pass: %v", err)
+		}
+	})
+
+	t.Run("cold allocation regression past 5% fails", func(t *testing.T) {
+		fresh := append([]DPBenchCell(nil), base...)
+		fresh[1].ColdAllocsPerOp = 4_201
+		err := GateDP(DPBenchReport{Cells: fresh}, path, 0.10)
+		if err == nil || !strings.Contains(err.Error(), "cold path allocates") {
+			t.Fatalf("want cold allocation violation, got %v", err)
+		}
+	})
+
+	t.Run("cold allocation within 5% or lower passes", func(t *testing.T) {
+		fresh := append([]DPBenchCell(nil), base...)
+		fresh[0].ColdAllocsPerOp = 10_500
+		fresh[1].ColdAllocsPerOp = 1_000
+		if err := GateDP(DPBenchReport{Cells: fresh}, path, 0.10); err != nil {
+			t.Fatalf("cold allocations within bound should pass: %v", err)
 		}
 	})
 

@@ -86,8 +86,10 @@ type ServePhaseStats struct {
 	Tiers       map[string]int `json:"tiers"`
 	P50Ms       float64        `json:"p50_latency_ms"`
 	P99Ms       float64        `json:"p99_latency_ms"`
-	// ServerP99Ms is the p99 of the server-side elapsed time (admission +
-	// estimation, no HTTP framing) — the latency the SLO controller governs.
+	// ServerP99Ms is the p99 of the server-side elapsed time each response
+	// reports (admission + estimation, no HTTP framing). The SLO controller
+	// governs the longer handler span, which adds body read, parse and
+	// encode.
 	ServerP99Ms    float64 `json:"server_p99_ms"`
 	QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
 }

@@ -89,19 +89,20 @@ func (p Pred) SelfJoin(c *Catalog) bool {
 	return p.Kind == JoinPred && c.AttrTable(p.Left) == c.AttrTable(p.Right)
 }
 
-// Key returns a canonical, comparable identity for the predicate. Two
-// predicates with equal keys are structurally identical. Keys are used for
-// SIT expression matching and evaluator memoization.
-// The estimation hot path never calls Key: runs pre-canonicalize predicates
-// at NewRun and compare/hash them as values (Canon, SigHash); Key survives
-// for SIT expression containment, diagnostics and the chain-key tie-breaks,
-// all of which run off the cached path.
+// Key returns a canonical, comparable identity string for the predicate.
+// Two predicates with equal keys are structurally identical — exactly when
+// their Canon forms are equal. Predicate identity inside estimation is the
+// Canon value (SIT expression containment, cache signatures via SigHash),
+// so a cached estimate never calls Key. A selectivity-cache miss still
+// does, through one consumer only: the DP's lazily built chain-key and
+// PredsKey tie-break strings. Otherwise Key renders SIT IDs (which snapshot
+// and replication frames carry), the sampler's edge index and diagnostics.
 func (p Pred) Key() string {
 	if p.Kind == JoinPred {
-		//lint:ignore hotalloc cold path: SIT matching and chain keys only; cached reads use Canon/SigHash values
+		//lint:ignore hotalloc cold path: chain-key tie-breaks and SIT IDs only; cached reads use Canon/SigHash values
 		return fmt.Sprintf("J%d=%d", p.Left, p.Right)
 	}
-	//lint:ignore hotalloc cold path: SIT matching and chain keys only; cached reads use Canon/SigHash values
+	//lint:ignore hotalloc cold path: chain-key tie-breaks and SIT IDs only; cached reads use Canon/SigHash values
 	return fmt.Sprintf("F%d[%d,%d]", p.Attr, p.Lo, p.Hi)
 }
 

@@ -18,21 +18,23 @@
 //
 // # Concurrency
 //
-// Each shard holds an atomic pointer to an immutable map. Readers follow the
-// pointer and look up — no locks, no write to any shared structure beyond
-// the entry's atomic recency tick and the hit/miss counters — so the read
-// path never contends, serializes only on cache-line traffic, and is safe
-// under -race by construction. Writers (Put, EvictIf, EvictAll, Reset)
-// serialize on a per-shard mutex, build a fresh map, and publish it with a
-// single atomic store (copy-on-write). Readers that loaded the previous map
-// keep using it unharmed; the next read observes the new one. Copy cost per
-// publish is bounded by keeping shards small (~64 entries): sizing is
-// automatic in New, explicit in NewSharded.
+// Each shard owns a fixed array of slots, allocated once at construction.
+// A slot is an atomic pointer to an immutable entry (key, value, and the
+// entry's atomic recency tick), and a parallel array of atomic key hashes
+// acts as a filter in front of it. Readers scan the shard's hashes, load
+// the entry behind each match and compare its full key — no lock, no
+// allocation, no write to any shared structure beyond the entry's recency
+// tick and the hit/miss counters. Writers (Put, EvictIf, EvictAll, Reset)
+// serialize on a per-shard mutex and overwrite slots in place, one atomic
+// store each. A slot overwritten between a reader's hash check and its
+// entry load makes the key comparison fail: the worst a race can cost is a
+// miss, never a wrong value. A publish allocates only the new entry, so
+// the cache produces no garbage beyond the values it is asked to hold.
 //
 // Recency is a global atomic clock: every access stamps the entry with a
-// fresh, strictly increasing tick, and a full shard evicts the entry with
-// the minimum tick — exact LRU per shard, deterministic because ticks are
-// unique. Counters (hits, misses, evictions) are atomic and exposed via
+// fresh, strictly increasing tick, and a full shard overwrites the slot
+// with the minimum tick — exact LRU per shard, deterministic because ticks
+// are unique. Counters (hits, misses, evictions) are atomic and exposed via
 // Stats.
 package selcache
 
@@ -44,15 +46,20 @@ import (
 )
 
 // DefaultShards is the minimum shard count New selects. More shards are
-// added as capacity grows so each shard's copy-on-write publish stays cheap.
+// added as capacity grows so each shard's slot scan stays short.
 const DefaultShards = 16
 
-// targetShardCap is the per-shard entry count New aims for: small enough
-// that a Put's map copy touches at most a few KiB.
+// targetShardCap is the per-shard slot count New aims for: small enough
+// that a lookup's hash scan touches a few cache lines.
 const targetShardCap = 64
 
 // maxAutoShards caps New's automatic shard count.
 const maxAutoShards = 4096
+
+// emptyHash is the filter value of an empty slot. A key that hashes to it
+// is still stored and found: the filter only narrows which slots' entries
+// are loaded, and the entry pointer — nil for an empty slot — decides.
+const emptyHash = 0
 
 // Cache is a sharded, bounded LRU mapping keys of comparable type K to
 // values of type V, hashed for shard selection by a caller-supplied
@@ -68,14 +75,15 @@ type Cache[K comparable, V any] struct {
 }
 
 type shard[K comparable, V any] struct {
-	cur atomic.Pointer[map[K]*centry[V]] // immutable once published
-	mu  sync.Mutex                       // serializes writers (map swaps)
-	cap int
+	mu     sync.Mutex // serializes writers (slot stores)
+	hashes []atomic.Uint64
+	slots  []atomic.Pointer[centry[K, V]]
 }
 
-// centry is one cached entry. The value is immutable after publish; only
-// the recency tick is written in place (atomically, by readers).
-type centry[V any] struct {
+// centry is one cached entry. Key and value are immutable after publish;
+// only the recency tick is written in place (atomically, by readers).
+type centry[K comparable, V any] struct {
+	key  K
 	val  V
 	tick atomic.Uint64
 }
@@ -98,7 +106,8 @@ func New[K comparable, V any](capacity int, hash func(K) uint64) *Cache[K, V] {
 	return NewSharded[K, V](capacity, shards, hash)
 }
 
-// NewSharded returns a cache with an explicit shard count.
+// NewSharded returns a cache with an explicit shard count. Every shard's
+// slots are allocated here, once.
 func NewSharded[K comparable, V any](capacity, shards int, hash func(K) uint64) *Cache[K, V] {
 	if capacity <= 0 {
 		capacity = 4096
@@ -110,12 +119,13 @@ func NewSharded[K comparable, V any](capacity, shards int, hash func(K) uint64) 
 		shards = capacity
 	}
 	perShard := (capacity + shards - 1) / shards
+	hashes := make([]atomic.Uint64, shards*perShard)
+	slots := make([]atomic.Pointer[centry[K, V]], shards*perShard)
 	c := &Cache[K, V]{shards: make([]shard[K, V], shards), hash: hash}
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.cap = perShard
-		m := make(map[K]*centry[V], perShard)
-		s.cur.Store(&m)
+		lo, hi := i*perShard, (i+1)*perShard
+		c.shards[i].hashes = hashes[lo:hi:hi]
+		c.shards[i].slots = slots[lo:hi:hi]
 	}
 	return c
 }
@@ -155,77 +165,95 @@ func HashCombine(a, b uint64) uint64 {
 	return HashUint64(a ^ (b*0x9e3779b97f4a7c15 + 0x517cc1b727220a95))
 }
 
-func (c *Cache[K, V]) shardFor(key K) *shard[K, V] {
-	return &c.shards[c.hash(key)%uint64(len(c.shards))]
+func (c *Cache[K, V]) shardFor(h uint64) *shard[K, V] {
+	return &c.shards[h%uint64(len(c.shards))]
 }
 
 // Get returns the cached value for key and whether it was present, marking
-// the entry most recently used on a hit. The lookup is lock-free: it loads
-// the shard's current map through an atomic pointer and touches nothing
-// shared but the entry's recency tick and the hit/miss counters. When the
-// fault harness's CacheEvictStorm point fires, every entry is dropped ahead
-// of the lookup — correctness layers above must treat the cache as
-// advisory, and this is the hook that proves they do.
+// the entry most recently used on a hit. The lookup is lock-free: it scans
+// the shard's hash filter and compares the full key of each entry behind a
+// matching hash, touching nothing shared but the entry's recency tick and
+// the hit/miss counters. When the fault harness's CacheEvictStorm point
+// fires, every entry is dropped ahead of the lookup — correctness layers
+// above must treat the cache as advisory, and this is the hook that proves
+// they do.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	if faults.Active().Fire(faults.CacheEvictStorm) {
 		c.EvictAll()
 	}
-	s := c.shardFor(key)
-	e, ok := (*s.cur.Load())[key]
-	if !ok {
-		c.misses.Add(1)
-		var zero V
-		return zero, false
-	}
-	e.tick.Store(c.clock.Add(1))
-	c.hits.Add(1)
-	return e.val, true
-}
-
-// Put stores the value under key, evicting the shard's least recently used
-// entry when the shard is full. Storing an existing key refreshes its value
-// and recency. The new map is built under the shard's writer mutex and
-// published with one atomic store; in-flight lock-free readers keep the map
-// they already loaded.
-func (c *Cache[K, V]) Put(key K, val V) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.cur.Load()
-	_, replace := old[key]
-	evict := !replace && len(old) >= s.cap
-	var victim K
-	if evict {
-		// Exact LRU: ticks are unique, so the minimum is a deterministic
-		// victim no matter the iteration order.
-		minTick := ^uint64(0)
-		for k, e := range old {
-			if t := e.tick.Load(); t <= minTick {
-				minTick, victim = t, k
-			}
-		}
-	}
-	next := make(map[K]*centry[V], len(old)+1)
-	for k, e := range old {
-		if evict && k == victim {
+	h := c.hash(key)
+	s := c.shardFor(h)
+	hashes := s.hashes
+	for i := range hashes {
+		if hashes[i].Load() != h {
 			continue
 		}
-		next[k] = e
+		// The slot may have been overwritten since its hash was read; the
+		// key comparison on the loaded entry is what decides.
+		if e := s.slots[i].Load(); e != nil && e.key == key {
+			e.tick.Store(c.clock.Add(1))
+			c.hits.Add(1)
+			return e.val, true
+		}
 	}
-	e := &centry[V]{val: val}
-	e.tick.Store(c.clock.Add(1))
-	next[key] = e
-	s.cur.Store(&next)
-	if evict {
+	c.misses.Add(1)
+	var zero V
+	return zero, false
+}
+
+// Put stores the value under key, overwriting the shard's least recently
+// used entry when the shard is full. Storing an existing key refreshes its
+// value and recency. The slot is chosen under the shard's writer mutex —
+// the slot already holding key, else an empty slot, else the minimum-tick
+// slot — and overwritten in place; the new entry is the only allocation.
+func (c *Cache[K, V]) Put(key K, val V) {
+	h := c.hash(key)
+	e := &centry[K, V]{key: key, val: val}
+	s := c.shardFor(h)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	empty, victim := -1, -1
+	minTick := ^uint64(0)
+	for i := range s.slots {
+		old := s.slots[i].Load()
+		if old == nil {
+			if empty < 0 {
+				empty = i
+			}
+			continue
+		}
+		// The stored hash is consistent with the slot under the mutex, so
+		// it filters before the full key comparison.
+		if s.hashes[i].Load() == h && old.key == key {
+			e.tick.Store(c.clock.Add(1))
+			s.slots[i].Store(e)
+			return
+		}
+		// Exact LRU: ticks are unique, so the minimum is a deterministic
+		// victim.
+		if t := old.tick.Load(); t < minTick {
+			minTick, victim = t, i
+		}
+	}
+	slot := empty
+	if slot < 0 {
+		slot = victim
 		c.evictions.Add(1)
 	}
+	e.tick.Store(c.clock.Add(1))
+	s.hashes[slot].Store(h)
+	s.slots[slot].Store(e)
 }
 
 // Len returns the current number of cached entries across all shards.
 func (c *Cache[K, V]) Len() int {
 	n := 0
 	for i := range c.shards {
-		n += len(*c.shards[i].cur.Load())
+		for j := range c.shards[i].slots {
+			if c.shards[i].slots[j].Load() != nil {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -259,7 +287,7 @@ func (c *Cache[K, V]) Stats() Stats {
 		Shards:    len(c.shards),
 	}
 	for i := range c.shards {
-		st.Capacity += c.shards[i].cap
+		st.Capacity += len(c.shards[i].slots)
 	}
 	return st
 }
@@ -270,26 +298,20 @@ func (c *Cache[K, V]) Stats() Stats {
 // dead-generation entries (their generation-stamped keys can never be
 // requested again, but untouched they would linger until LRU churn pushes
 // them out). Each shard is scanned once under its writer mutex — drop is
-// called exactly once per resident key — and a pruned copy is published
-// only when something was dropped; concurrent lock-free readers are never
-// blocked.
+// called exactly once per resident key — and dropped slots are cleared in
+// place; concurrent lock-free readers are never blocked.
 func (c *Cache[K, V]) EvictIf(drop func(key K) bool) int {
 	dropped := 0
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.mu.Lock()
-		old := *s.cur.Load()
-		next := make(map[K]*centry[V], len(old))
 		n := 0
-		for k, e := range old {
-			if drop(k) {
+		s.mu.Lock()
+		for j := range s.slots {
+			if e := s.slots[j].Load(); e != nil && drop(e.key) {
+				s.slots[j].Store(nil)
+				s.hashes[j].Store(emptyHash)
 				n++
-			} else {
-				next[k] = e
 			}
-		}
-		if n > 0 {
-			s.cur.Store(&next)
 		}
 		s.mu.Unlock()
 		c.evictions.Add(int64(n))
@@ -303,26 +325,12 @@ func (c *Cache[K, V]) EvictIf(drop func(key K) bool) int {
 // injected eviction storm): subsequent lookups miss and recompute, nothing
 // more.
 func (c *Cache[K, V]) EvictAll() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n := len(*s.cur.Load())
-		m := make(map[K]*centry[V], s.cap)
-		s.cur.Store(&m)
-		s.mu.Unlock()
-		c.evictions.Add(int64(n))
-	}
+	c.EvictIf(func(K) bool { return true })
 }
 
 // Reset drops every entry and zeroes the counters.
 func (c *Cache[K, V]) Reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		m := make(map[K]*centry[V], s.cap)
-		s.cur.Store(&m)
-		s.mu.Unlock()
-	}
+	c.EvictAll()
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)

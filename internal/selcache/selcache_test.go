@@ -215,9 +215,11 @@ func genKeyHash(k genKey) uint64 {
 // EvictIf-retires all older ones, while readers Get/Put entries of whatever
 // generation is current. Values encode their key's generation, so any
 // cross-generation aliasing — a stale-generation value served for a newer
-// key — is detected immediately; and after the final retirement sweep no
-// dead-generation entry may remain resident. Run under -race this is also
-// the proof that the copy-on-write read path is data-race-free.
+// key, as a slot overwritten between a reader's hash check and its entry
+// load could produce without the full-key comparison — is detected
+// immediately; and after the final retirement sweep no dead-generation
+// entry may remain resident. Run under -race this is also the proof that
+// the lock-free read path over in-place slot stores is data-race-free.
 func TestCOWGenerationStress(t *testing.T) {
 	t.Parallel()
 	c := New[genKey, uint64](1<<10, genKeyHash)
@@ -274,5 +276,108 @@ func TestCOWGenerationStress(t *testing.T) {
 	})
 	if residual != 0 {
 		t.Fatalf("%d dead-generation entries resident after quiescent sweep", residual)
+	}
+}
+
+// TestSharedShardAndSentinelHash: keys that share a shard, including one
+// whose hash equals the empty-slot filter value, round-trip through Put,
+// Get and EvictIf, and survive each other's eviction. The second hash
+// sends every key to the sentinel value, so the filter matches every slot
+// and only the full-key comparison tells entries apart.
+func TestSharedShardAndSentinelHash(t *testing.T) {
+	t.Parallel()
+	// genKey{0, 0} hashes to HashUint64(0) == 0, the empty-slot value.
+	zero := genKey{}
+	if genKeyHash(zero) != emptyHash {
+		t.Fatalf("test key hash %#x, want the sentinel %#x", genKeyHash(zero), emptyHash)
+	}
+	hashes := map[string]func(genKey) uint64{
+		"genKeyHash": genKeyHash,
+		"colliding":  func(genKey) uint64 { return emptyHash },
+	}
+	for name, hash := range hashes {
+		c := NewSharded[genKey, uint64](8, 1, hash) // one shard: all keys share it
+		keys := []genKey{zero, {0, 1}, {1, 0}, {1, 1}, {2, 5}}
+		for i, k := range keys {
+			c.Put(k, uint64(100+i))
+		}
+		for i, k := range keys {
+			if v, ok := c.Get(k); !ok || v != uint64(100+i) {
+				t.Fatalf("%s: Get(%+v) = %d, %v; want %d", name, k, v, ok, 100+i)
+			}
+		}
+		c.Put(zero, 7) // refresh in place: no second copy, no eviction
+		if v, _ := c.Get(zero); v != 7 || c.Len() != len(keys) || c.Stats().Evictions != 0 {
+			t.Fatalf("%s: refresh: value %d, Len %d, evictions %d", name, v, c.Len(), c.Stats().Evictions)
+		}
+		if n := c.EvictIf(func(k genKey) bool { return k.gen == 0 }); n != 2 {
+			t.Fatalf("%s: EvictIf(gen 0) dropped %d, want 2", name, n)
+		}
+		for i, k := range keys {
+			v, ok := c.Get(k)
+			if k.gen == 0 {
+				if ok {
+					t.Fatalf("%s: evicted key %+v still served %d", name, k, v)
+				}
+				continue
+			}
+			if !ok || v != uint64(100+i) {
+				t.Fatalf("%s: survivor Get(%+v) = %d, %v; want %d", name, k, v, ok, 100+i)
+			}
+		}
+		c.Put(zero, 9) // the sentinel-hash key is storable again after eviction
+		if v, ok := c.Get(zero); !ok || v != 9 {
+			t.Fatalf("%s: re-Put sentinel-hash key: %d, %v", name, v, ok)
+		}
+	}
+}
+
+// fullCache returns a one-shard cache of capacity n filled with keys of
+// generation 1, so every Put of another generation evicts.
+func fullCache(n int) *Cache[genKey, uint64] {
+	c := NewSharded[genKey, uint64](n, 1, genKeyHash)
+	for i := 0; i < n; i++ {
+		c.Put(genKey{gen: 1, k: i}, uint64(i))
+	}
+	return c
+}
+
+// TestPutGetAllocs: publishing into a full shard allocates at most the new
+// entry, and a lookup allocates nothing, hit or miss.
+func TestPutGetAllocs(t *testing.T) {
+	c := fullCache(64)
+	k := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		k++
+		c.Put(genKey{gen: 2, k: k}, uint64(k))
+	}); n > 1 {
+		t.Fatalf("Put into a full shard: %.1f allocs/op, want <= 1", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Get(genKey{gen: 2, k: k})
+		c.Get(genKey{gen: 3, k: k})
+	}); n != 0 {
+		t.Fatalf("Get: %.1f allocs/op, want 0", n)
+	}
+}
+
+var sinkU64 uint64
+
+func BenchmarkGetHit(b *testing.B) {
+	c := fullCache(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, _ := c.Get(genKey{gen: 1, k: i & 63})
+		sinkU64 += v
+	}
+}
+
+func BenchmarkPutFull(b *testing.B) {
+	c := fullCache(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(genKey{gen: 2, k: i}, uint64(i))
 	}
 }

@@ -250,8 +250,26 @@ func (s *Server) deadlineFor(r *http.Request) (time.Duration, error) {
 // deadline. Exported so benchmarks can measure the service layer in-process,
 // without HTTP framing. The flow is the whole architecture in one screen:
 // deadline → admission (queue-wait charged to the deadline) → deadline-mapped
-// ladder config → SLO cap → estimate → observe.
+// ladder config → SLO cap → estimate → observe. In process the observed
+// span is the estimation alone; the HTTP handlers instead observe their
+// whole span, from handler entry through the encoded response.
 func (s *Server) EstimateQuery(ctx context.Context, q *engine.Query, deadline time.Duration, endpoint string) EstimateResult {
+	start := time.Now()
+	res, tier := s.estimate(ctx, q, deadline)
+	s.observe(endpoint, tier, time.Since(start))
+	return res
+}
+
+// observe feeds one answered request's latency to the SLO controller and
+// the request-duration histogram.
+func (s *Server) observe(endpoint string, tier robust.Tier, d time.Duration) {
+	s.slo.Observe(d)
+	s.m.observeRequest(endpoint, http.StatusOK, tier, d)
+}
+
+// estimate is EstimateQuery without the observation: callers observe the
+// span their client waits for.
+func (s *Server) estimate(ctx context.Context, q *engine.Query, deadline time.Duration) (EstimateResult, robust.Tier) {
 	start := time.Now()
 	ctx, cancel := context.WithDeadline(ctx, start.Add(deadline))
 	defer cancel()
@@ -275,8 +293,6 @@ func (s *Server) EstimateQuery(ctx context.Context, q *engine.Query, deadline ti
 
 	card, prov := s.cfg.Estimator.Estimate(ctx, q, cfg)
 	elapsed := time.Since(start)
-	s.slo.Observe(elapsed)
-	s.m.observeRequest(endpoint, http.StatusOK, prov.Tier, elapsed)
 	return EstimateResult{
 		Cardinality:    card,
 		Tier:           prov.Tier.String(),
@@ -287,7 +303,7 @@ func (s *Server) EstimateQuery(ctx context.Context, q *engine.Query, deadline ti
 		ElapsedMs:      float64(elapsed) / float64(time.Millisecond),
 		Shed:           !adm.Admitted,
 		ShedCause:      adm.ShedCause,
-	}
+	}, prov.Tier
 }
 
 // queryText pulls the query text from ?q= or the request body.
@@ -325,7 +341,11 @@ func (s *Server) enter(w http.ResponseWriter, r *http.Request, endpoint string) 
 	return true
 }
 
+// handleEstimate answers one query. Its latency is observed from handler
+// entry until the response is written, so body read, parse and encode
+// count against the SLO as they do for the client.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	if !s.enter(w, r, "estimate") {
 		return
 	}
@@ -346,14 +366,18 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "estimate", err)
 		return
 	}
-	res := s.EstimateQuery(r.Context(), q, deadline, "estimate")
+	res, tier := s.estimate(r.Context(), q, deadline)
 	writeJSON(w, http.StatusOK, res)
+	s.observe("estimate", tier, time.Since(start))
 }
 
 // handleBatch estimates a newline-separated batch of queries under one
 // shared deadline, answering per-query results in order. A parse failure
 // fails only its own line (error recorded in that element), never the batch.
+// Every answered line is observed once the whole response is written, at the
+// latency from handler entry: that is when its client receives it.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	if !s.enter(w, r, "batch") {
 		return
 	}
@@ -369,8 +393,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "batch", err)
 		return
 	}
-	start := time.Now()
+	estStart := time.Now()
 	var out []EstimateResult
+	var tiers []robust.Tier
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
@@ -382,19 +407,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.m.observeRequest("batch", http.StatusBadRequest, 0, 0)
 			continue
 		}
-		remaining := deadline - time.Since(start)
+		remaining := deadline - time.Since(estStart)
 		if remaining < time.Millisecond {
 			remaining = time.Millisecond // floor: every line still answers
 		}
-		res := s.EstimateQuery(r.Context(), q, remaining, "batch")
+		res, tier := s.estimate(r.Context(), q, remaining)
 		res.Query = line
 		out = append(out, res)
+		tiers = append(tiers, tier)
 	}
 	if out == nil {
 		s.badRequest(w, "batch", errors.New("empty batch"))
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
+	elapsed := time.Since(start)
+	for _, tier := range tiers {
+		s.observe("batch", tier, elapsed)
+	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

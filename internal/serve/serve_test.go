@@ -235,6 +235,60 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// slowBody delays its first Read, standing in for a client that sends its
+// request body slowly.
+type slowBody struct {
+	delay time.Duration
+	r     *strings.Reader
+	slept bool
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	if !b.slept {
+		time.Sleep(b.delay)
+		b.slept = true
+	}
+	return b.r.Read(p)
+}
+
+// TestObservedSpanIncludesBodyRead: both handlers observe latency from
+// handler entry, so a slow request body counts in the request-duration
+// histogram and trips the p99 SLO controller, as it does for the client.
+func TestObservedSpanIncludesBodyRead(t *testing.T) {
+	t.Parallel()
+	const delay = 60 * time.Millisecond
+	f := newTestFixture(9)
+	for _, tc := range []struct {
+		endpoint, target string
+		ep               int
+	}{
+		{"estimate", "/estimate", epEstimate},
+		{"batch", "/estimate/batch", epBatch},
+	} {
+		s := f.server(t, Config{SLO: SLOConfig{TargetP99: delay / 2, Window: 16, MinSamples: 1}})
+		body := &slowBody{delay: delay, r: strings.NewReader(f.query)}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", tc.target, body))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.endpoint, rec.Code, rec.Body.String())
+		}
+		var sum time.Duration
+		var count int64
+		for tier := range s.m.latency[tc.ep] {
+			sum += time.Duration(s.m.latency[tc.ep][tier].sumNs.Load())
+			count += s.m.latency[tc.ep][tier].count.Load()
+		}
+		if count != 1 || sum < delay {
+			t.Fatalf("%s: request-duration histogram saw %d requests summing %v, want 1 of at least %v",
+				tc.endpoint, count, sum, delay)
+		}
+		if st := s.SLOStats(); st.Tightenings != 1 {
+			t.Fatalf("%s: SLO controller tightened %d times after a %v request against a %v target, want 1",
+				tc.endpoint, st.Tightenings, delay, delay/2)
+		}
+	}
+}
+
 // TestHealthEndpoints: /healthz is always 200; /readyz flips to 503 once
 // draining.
 func TestHealthEndpoints(t *testing.T) {

@@ -40,9 +40,9 @@ type matchKey struct {
 type attrMatcher struct {
 	idx *attrIndex
 
-	// keyed[k]: positions of the query's predicates whose canonical key
-	// belongs to sits[k]'s expression. sizes[k] is the expression's distinct
-	// key count, so sits[k] matches a conditioning set q exactly when
+	// keyed[k]: positions of the query's predicates whose canonical value
+	// belongs to sits[k]'s expression set. sizes[k] is the set's size, so
+	// sits[k] matches a conditioning set q exactly when
 	// |q ∩ keyed[k]| == sizes[k] — the same count MatchesSubset performs.
 	keyed   []engine.PredSet
 	sizes   []int
@@ -61,7 +61,10 @@ func NewMatcher(p *Pool, preds []engine.Pred) *Matcher {
 	}
 }
 
-// forAttr returns (building on first use) the attribute's projection.
+// forAttr returns (building on first use) the attribute's projection: the
+// pool index lists the attribute's SITs, and each SIT's canonical
+// expression set — the one predicate identity every containment test
+// uses — maps the query's predicates onto a position mask.
 func (m *Matcher) forAttr(attr engine.AttrID) *attrMatcher {
 	if am, ok := m.attrs[attr]; ok {
 		return am
@@ -76,13 +79,7 @@ func (m *Matcher) forAttr(attr engine.AttrID) *attrMatcher {
 		}
 		for k, s := range idx.sits {
 			am.sizes[k] = len(s.exprSet)
-			for i, p := range m.preds {
-				// Canonical-value membership: equivalent to the string-keyed
-				// s.exprKeys[p.Key()] test without formatting a key.
-				if s.exprSet[p.Canon()] {
-					am.keyed[k] = am.keyed[k].Add(i)
-				}
-			}
+			am.keyed[k] = s.exprSet.matched(m.preds, engine.FullPredSet(len(m.preds)))
 		}
 	}
 	m.attrs[attr] = am

@@ -9,6 +9,7 @@ package sit
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -28,33 +29,75 @@ type SIT struct {
 	Hist   *histogram.Histogram
 	Diff   float64
 
-	exprKeys map[string]bool      // canonical predicate keys of Expr
-	exprSet  map[engine.Pred]bool // canonical predicate values of Expr
-	id       string               // canonical identity, precomputed (ID is hot)
+	exprSet exprSet // canonical predicate values of Expr
+	id      string  // canonical identity, precomputed (ID is hot)
 }
 
-// NewSIT assembles a SIT from its parts, deriving the table set and
-// canonical expression keys. Expression membership is indexed twice: by
-// Pred.Key() string for the legacy containment tests, and by canonical
-// predicate value (Pred.Canon) so the matcher's per-query indexing never
-// formats a key string — the two are equivalent, as equal keys and equal
-// canonical forms coincide.
+// exprSet is an expression's predicate identity: the set of its members'
+// canonical values (Pred.Canon). Two predicates are structurally identical
+// exactly when their canonical forms are equal, so membership needs no
+// formatted key.
+type exprSet map[engine.Pred]bool
+
+func newExprSet(expr []engine.Pred) exprSet {
+	set := make(exprSet, len(expr))
+	for _, p := range expr {
+		set[p.Canon()] = true
+	}
+	return set
+}
+
+// matched returns the positions within q whose predicates belong to the set.
+func (set exprSet) matched(preds []engine.Pred, q engine.PredSet) engine.PredSet {
+	var m engine.PredSet
+	for rest := uint64(q); rest != 0; rest &= rest - 1 {
+		if i := bits.TrailingZeros64(rest); set[preds[i].Canon()] {
+			m = m.Add(i)
+		}
+	}
+	return m
+}
+
+// containedIn reports whether every member of the set appears within the
+// predicate subset q of preds.
+func (set exprSet) containedIn(preds []engine.Pred, q engine.PredSet) bool {
+	return len(set) <= q.Len() && set.matched(preds, q).Len() == len(set)
+}
+
+// subsetOf reports whether set ⊆ t.
+func (set exprSet) subsetOf(t exprSet) bool {
+	if len(set) > len(t) {
+		return false
+	}
+	for p := range set {
+		if !t[p] {
+			return false
+		}
+	}
+	return true
+}
+
+// id renders the set's members as their sorted Key() strings joined by
+// "&", the expression half of SIT and SIT2D identities (snapshot IDs and
+// replication frames carry these strings, so their format is fixed).
+func (set exprSet) id() string {
+	keys := make([]string, 0, len(set))
+	for p := range set {
+		keys = append(keys, p.Key())
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "&")
+}
+
+// NewSIT assembles a SIT from its parts, deriving the table set, the
+// canonical expression set the §3.3 containment tests probe, and the ID.
 func NewSIT(c *engine.Catalog, attr engine.AttrID, expr []engine.Pred, h *histogram.Histogram, diff float64) *SIT {
-	s := &SIT{Attr: attr, Expr: expr, Hist: h, Diff: diff,
-		exprKeys: make(map[string]bool, len(expr)),
-		exprSet:  make(map[engine.Pred]bool, len(expr))}
+	s := &SIT{Attr: attr, Expr: expr, Hist: h, Diff: diff, exprSet: newExprSet(expr)}
 	s.Tables = engine.NewTableSet(c.AttrTable(attr))
 	for _, p := range expr {
 		s.Tables = s.Tables.Union(p.Tables(c))
-		s.exprKeys[p.Key()] = true
-		s.exprSet[p.Canon()] = true
 	}
-	keys := make([]string, 0, len(s.exprKeys))
-	for k := range s.exprKeys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s.id = fmt.Sprintf("%d|%s", s.Attr, strings.Join(keys, "&"))
+	s.id = fmt.Sprintf("%d|%s", s.Attr, s.exprSet.id())
 	return s
 }
 
@@ -87,40 +130,15 @@ func (s *SIT) Name(c *engine.Catalog) string {
 // appears (structurally) within the predicate subset q of preds. This is
 // the `Q' ⊆ Q` containment test of §3.3.
 func (s *SIT) MatchesSubset(preds []engine.Pred, q engine.PredSet) bool {
-	if len(s.exprKeys) > q.Len() {
-		return false
-	}
-	found := 0
-	for _, i := range q.Indices() {
-		if s.exprKeys[preds[i].Key()] {
-			found++
-		}
-	}
-	return found == len(s.exprKeys)
+	return s.exprSet.containedIn(preds, q)
 }
 
 // ExprSubsetOf reports whether s's expression is a (possibly equal) subset
 // of t's expression.
-func (s *SIT) ExprSubsetOf(t *SIT) bool {
-	if len(s.exprKeys) > len(t.exprKeys) {
-		return false
-	}
-	for k := range s.exprKeys {
-		if !t.exprKeys[k] {
-			return false
-		}
-	}
-	return true
-}
+func (s *SIT) ExprSubsetOf(t *SIT) bool { return s.exprSet.subsetOf(t.exprSet) }
 
 // MatchedSet returns the positions within q whose predicates belong to the
 // SIT's expression — the Q' actually covered by the SIT.
 func (s *SIT) MatchedSet(preds []engine.Pred, q engine.PredSet) engine.PredSet {
-	var m engine.PredSet
-	for _, i := range q.Indices() {
-		if s.exprKeys[preds[i].Key()] {
-			m = m.Add(i)
-		}
-	}
-	return m
+	return s.exprSet.matched(preds, q)
 }
