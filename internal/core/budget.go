@@ -157,7 +157,8 @@ func (r *Run) GreedyChainSelectivity(set engine.PredSet) (sel, errSum float64) {
 		var bestP engine.PredSet
 		for s := uint64(set); s != 0; s &= s - 1 {
 			pp := engine.PredSet(1) << uint(bits.TrailingZeros64(s))
-			selF, errF, _ := r.ApproxFactor(pp, set.Minus(pp))
+			selF, errF, sits := r.ApproxFactor(pp, set.Minus(pp))
+			r.dropSITs(sits)
 			if errF < bestErr {
 				bestErr, bestSel, bestP = errF, selF, pp
 			}

@@ -167,9 +167,10 @@ func (r *Run) cachePut(set engine.PredSet, res *Result) {
 		preds[ci] = r.canonPreds[pos[ci]]
 	}
 	e := CacheEntry{Sel: res.Sel, Err: res.Err, Key: res.key, Preds: preds}
-	if len(res.Factors) > 0 {
-		e.Factors = make([]CacheFactor, 0, len(res.Factors))
-		for _, f := range res.Factors {
+	r.chain = appendChain(r.chain[:0], res)
+	if len(r.chain) > 0 {
+		e.Factors = make([]CacheFactor, 0, len(r.chain))
+		for _, f := range r.chain {
 			var p, q engine.PredSet
 			for m := uint64(f.P); m != 0; m &= m - 1 {
 				p = p.Add(int(inv[bits.TrailingZeros64(m)]))

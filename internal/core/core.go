@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -140,7 +141,9 @@ func (f Factor) Format(q *engine.Query) string {
 
 // Result is the outcome of getSelectivity for one predicate set: the
 // estimated selectivity, the aggregated error of the chosen decomposition,
-// and the decomposition's factors (most recently applied first).
+// and the decomposition's factors (most recently applied first). Results,
+// their Factors and the factors' SIT slices live in the run's arenas: they
+// are valid until the run's Release.
 type Result struct {
 	Sel     float64
 	Err     float64
@@ -154,6 +157,16 @@ type Result struct {
 	// decomposition — and so the whole Result — shareable across queries
 	// through the cross-query cache.
 	key string
+
+	// A computed result keeps its decomposition unflattened: an atomic
+	// one as its head factor plus the remainder's result, a separable one
+	// as its components' results. Copying every sub-result's whole chain
+	// into Factors would cost O(n·2ⁿ) factors per query; instead
+	// GetSelectivity flattens only the results it hands out, and cachePut
+	// walks the chain (appendChain).
+	head  Factor
+	rest  *Result
+	parts []*Result
 }
 
 // Run is the per-query state of getSelectivity: the memoization table of
@@ -178,8 +191,8 @@ type Run struct {
 	HistNanos int64
 
 	memo        map[engine.PredSet]*Result
-	truthMemo   map[truthKey]float64 // Opt ground truth, nil until used
-	derivedMemo map[string]*sit.SIT  // Example 3 derivations, nil until used
+	truthMemo   map[truthKey]float64    // Opt ground truth, nil until used
+	derivedMemo map[derivedKey]*sit.SIT // Example 3 derivations, nil until used
 
 	// budget, when non-nil, bounds the run's execution (deadline + node
 	// cap); see NewBudgetedRun. Nil for plain runs — every check is then a
@@ -203,23 +216,34 @@ type Run struct {
 	predTables []engine.TableSet
 	canonOrder []uint8
 
-	// Arenas for cache-hit decoding (newResult/newFactors): Results and
-	// Factors are carved out of pooled chunks, so the cached read path
-	// allocates nothing in steady state. Chunks grow by abandonment — a
-	// full chunk stays referenced by the memo and a larger one is started.
-	resBuf []Result
-	facBuf []Factor
+	// Arenas for Results, flattened Factors, separable results' parts and
+	// the factors' SIT slices (newResult, newFactors, compute, reserveSITs):
+	// both computed and cache-decoded results are carved out of pooled
+	// chunks, so the cached read path allocates nothing and the cold path
+	// allocates no per-subset result in steady state. Chunks grow by
+	// abandonment — a full chunk stays referenced by the memo and a larger
+	// one is started. chain is appendChain's scratch.
+	resBuf  []Result
+	facBuf  []Factor
+	partBuf []*Result
+	sitBuf  []*sit.SIT
+	chain   []Factor
 
 	// fast mirrors !Estimator.NoFastPath: the run-level hot-path machinery
 	// below is live. (Pooled maps stay allocated either way; fast is the
 	// routing switch, not map nil-ness.)
-	fast       bool
-	comps      *engine.CompIndex          // connected components, lazy (cold path)
-	matcher    *sit.Matcher               // candidate matcher, lazy (cold path)
-	sideInv    bool                       // model scores depend on sideCond only
-	filterMemo map[factorKey]filterApprox // approxFilter memo
-	joinMemo   map[factorKey]joinApprox   // approxJoin memo
-	joinSels   map[sitPair]float64        // per-run histogram-join selectivities
+	fast bool
+	// The component index and the candidate matcher are run-owned scratch,
+	// bound to the query on first use (cold path only) and kept, with
+	// their maps and arenas, across pooled runs.
+	comps        engine.CompIndex
+	matcher      sit.Matcher
+	compsBound   bool
+	matcherBound bool
+	sideInv      bool                       // model scores depend on sideCond only
+	filterMemo   map[factorKey]filterApprox // approxFilter memo
+	joinMemo     map[factorKey]joinApprox   // approxJoin memo
+	joinSels     map[sitPair]float64        // per-run histogram-join selectivities
 
 	// Chain-key interning. Chain keys are tie-break/diagnostic strings
 	// only; they are needed the first time a decomposition is actually
@@ -339,10 +363,13 @@ func (r *Run) reset() {
 	r.gen = 0
 	clear(r.memo)
 	r.truthMemo = nil
-	r.derivedMemo = nil
+	clear(r.derivedMemo)
 	r.fast = false
-	r.comps = nil
-	r.matcher = nil
+	r.compsBound = false
+	if r.matcherBound {
+		r.matcher.Reset(nil, nil)
+		r.matcherBound = false
+	}
 	r.sideInv = false
 	if r.filterMemo != nil {
 		clear(r.filterMemo)
@@ -362,6 +389,11 @@ func (r *Run) reset() {
 		r.facBuf[i] = Factor{}
 	}
 	r.facBuf = r.facBuf[:0]
+	clear(r.partBuf)
+	r.partBuf = r.partBuf[:0]
+	clear(r.sitBuf)
+	r.sitBuf = r.sitBuf[:0]
+	clear(r.chain[:cap(r.chain)])
 }
 
 func growPreds(s []engine.Pred, n int) []engine.Pred {
@@ -410,6 +442,25 @@ func (r *Run) newResult() *Result {
 	return res
 }
 
+// reserveSITs makes room for n more SITs at the end of the run's SIT
+// arena, starting a larger chunk when the current one is short (same
+// lifetime rules as newResult). ApproxFactor then appends its SITs in
+// place.
+func (r *Run) reserveSITs(n int) {
+	if len(r.sitBuf)+n > cap(r.sitBuf) {
+		r.sitBuf = make([]*sit.SIT, 0, max(2*(cap(r.sitBuf)+n), 256))
+	}
+}
+
+// dropSITs returns the SIT slice of a discarded ApproxFactor result to the
+// arena. It must be the arena's most recent carve, i.e. called before
+// anything else appends to it.
+func (r *Run) dropSITs(sits []*sit.SIT) {
+	n := len(r.sitBuf) - len(sits)
+	clear(r.sitBuf[n:])
+	r.sitBuf = r.sitBuf[:n]
+}
+
 // newFactors carves a full-capacity slice of n zeroed Factors out of the
 // run's arena (same lifetime rules as newResult).
 func (r *Run) newFactors(n int) []Factor {
@@ -433,9 +484,47 @@ func (r *Run) newFactors(n int) []Factor {
 }
 
 // GetSelectivity implements Figure 3: it returns the most accurate
-// estimation of Sel(set) together with its error, memoizing every sub-result
-// so later requests for sub-queries are free.
+// estimation of Sel(set) together with its error and decomposition,
+// memoizing every sub-result so later requests for sub-queries are free.
 func (r *Run) GetSelectivity(set engine.PredSet) *Result {
+	res := r.selectivity(set)
+	r.flatten(res)
+	return res
+}
+
+// flatten fills res.Factors from its unflattened decomposition, once, in
+// the run's factor arena.
+func (r *Run) flatten(res *Result) {
+	if res.Factors != nil || (res.rest == nil && res.parts == nil) {
+		return
+	}
+	r.chain = appendChain(r.chain[:0], res)
+	res.Factors = r.newFactors(len(r.chain))
+	copy(res.Factors, r.chain)
+}
+
+// appendChain appends res's decomposition factors to dst, most recently
+// applied first — the order Result.Factors lists them in.
+func appendChain(dst []Factor, res *Result) []Factor {
+	for {
+		switch {
+		case res.Factors != nil:
+			return append(dst, res.Factors...)
+		case res.rest != nil:
+			dst = append(dst, res.head)
+			res = res.rest
+		default:
+			for _, p := range res.parts {
+				dst = appendChain(dst, p)
+			}
+			return dst
+		}
+	}
+}
+
+// selectivity is GetSelectivity without flattening: the DP's own
+// recursion, whose sub-results need no Factors.
+func (r *Run) selectivity(set engine.PredSet) *Result {
 	if !set.SubsetOf(r.Query.All()) {
 		panic("core: predicate set outside the query")
 	}
@@ -452,23 +541,25 @@ func (r *Run) GetSelectivity(set engine.PredSet) *Result {
 	return res
 }
 
-// compsFor returns the run's component index, building it on first use:
-// components are only consulted while computing a decomposition, never on a
-// cached read.
+// compsFor returns the run's component index, binding it to the query on
+// first use: components are only consulted while computing a
+// decomposition, never on a cached read.
 func (r *Run) compsFor() *engine.CompIndex {
-	if r.comps == nil {
-		r.comps = engine.NewCompIndex(r.Query.Cat, r.Query.Preds)
+	if !r.compsBound {
+		r.comps.Reset(r.Query.Cat, r.Query.Preds)
+		r.compsBound = true
 	}
-	return r.comps
+	return &r.comps
 }
 
-// matcherFor returns the run's candidate matcher, building it on first use
-// (cold path, like compsFor).
+// matcherFor returns the run's candidate matcher, binding it to the query
+// on first use (cold path, like compsFor).
 func (r *Run) matcherFor() *sit.Matcher {
-	if r.matcher == nil {
-		r.matcher = sit.NewMatcher(r.Est.Pool, r.Query.Preds)
+	if !r.matcherBound {
+		r.matcher.Reset(r.Est.Pool, r.Query.Preds)
+		r.matcherBound = true
 	}
-	return r.matcher
+	return &r.matcher
 }
 
 // components returns set's connected components, via the run's component
@@ -480,10 +571,15 @@ func (r *Run) components(set engine.PredSet) []engine.PredSet {
 	return engine.Components(r.Query.Cat, r.Query.Preds, set)
 }
 
+// compute solves one predicate set not found in the memo or the cache. It
+// builds exactly one Result per computed subset, for the winning
+// decomposition only, carved from the run's arenas.
 func (r *Run) compute(set engine.PredSet) *Result {
 	r.budget.node()
+	res := r.newResult()
 	if set.Empty() {
-		return &Result{Sel: 1, Err: 0}
+		res.Sel = 1
+		return res
 	}
 	r.ensureChainKeys()
 	comps := r.components(set)
@@ -491,19 +587,27 @@ func (r *Run) compute(set engine.PredSet) *Result {
 		// Lines 4-7: separable — solve the standard decomposition's
 		// components independently and merge. Component keys are sorted so
 		// the merged key is canonical regardless of the components' predicate
-		// positions (they feed tie-breaks higher up the DP).
-		res := &Result{Sel: 1, Err: 0}
-		subKeys := make([]string, 0, len(comps))
+		// positions (they feed tie-breaks higher up the DP). The first pass
+		// solves the components, the second (memo hits) merges them, so the
+		// parts land contiguously in their arena.
 		for _, comp := range comps {
-			sub := r.GetSelectivity(comp)
+			r.selectivity(comp)
+		}
+		res.Sel = 1
+		start := len(r.partBuf)
+		var keys [64]string
+		n := 0
+		for i, comp := range comps {
+			sub := r.selectivity(comp)
 			res.Sel *= sub.Sel
 			res.Err += sub.Err
-			res.Factors = append(res.Factors, sub.Factors...)
-			//lint:ignore hotalloc cold path: component keys are built once per computed subset, never on a cached read
-			subKeys = append(subKeys, "["+sub.key+"]")
+			r.partBuf = append(r.partBuf, sub)
+			keys[i] = sub.key
+			n += len(sub.key) + 2
 		}
-		sort.Strings(subKeys)
-		res.key = strings.Join(subKeys, "")
+		end := len(r.partBuf)
+		res.parts = r.partBuf[start:end:end]
+		res.key = bracketJoin(keys[:len(comps)], n)
 		return res
 	}
 
@@ -517,24 +621,28 @@ func (r *Run) compute(set engine.PredSet) *Result {
 	// across queries through the selectivity cache).
 	// Candidate chain keys are compared lazily — head and remainder held as
 	// two segments, concatenated only for the final winner — because ties
-	// are rare relative to the number of candidates tried, and key
-	// construction used to dominate the loop's allocations.
-	best := &Result{Err: math.Inf(1)}
-	var bestHead, bestRest string
+	// are rare relative to the number of candidates tried. Only the winner
+	// becomes a Result; a losing candidate's SIT slice goes back to the
+	// arena.
+	var (
+		bestF    Factor
+		bestRest *Result
+		bestHead string
+	)
+	bestErr := math.Inf(1)
 	try := func(pp engine.PredSet) {
 		qq := set.Minus(pp)
-		resQ := r.GetSelectivity(qq)
+		resQ := r.selectivity(qq)
 		selF, errF, sits := r.ApproxFactor(pp, qq)
 		cand := errF + resQ.Err
-		tol := 1e-9 * (1 + math.Abs(best.Err))
-		if math.IsInf(best.Err, 1) || cand < best.Err-tol ||
-			(cand <= best.Err+tol && concatLess(r.chainHead(pp), resQ.key, bestHead, bestRest)) {
-			factors := make([]Factor, 0, 1+len(resQ.Factors))
-			factors = append(factors, Factor{P: pp, Q: qq, Sel: selF, Err: errF, SITs: sits})
-			factors = append(factors, resQ.Factors...)
-			best = &Result{Sel: selF * resQ.Sel, Err: cand, Factors: factors}
-			bestHead, bestRest = r.chainHead(pp), resQ.key
+		tol := 1e-9 * (1 + math.Abs(bestErr))
+		if math.IsInf(bestErr, 1) || cand < bestErr-tol ||
+			(cand <= bestErr+tol && concatLess(r.chainHead(pp), resQ.key, bestHead, bestRest.key)) {
+			bestF = Factor{P: pp, Q: qq, Sel: selF, Err: errF, SITs: sits}
+			bestRest, bestErr, bestHead = resQ, cand, r.chainHead(pp)
+			return
 		}
+		r.dropSITs(sits)
 	}
 	if r.Est.Exhaustive {
 		set.Subsets(try)
@@ -543,9 +651,40 @@ func (r *Run) compute(set engine.PredSet) *Result {
 			try(engine.PredSet(1) << uint(bits.TrailingZeros64(s)))
 		}
 	}
+	if r.Est.Cache != nil {
+		// Cache entries outlive the run and share factors' SIT slices
+		// (every superset's chain repeats this head), so a published
+		// winner's SITs move out of the arena once, here.
+		bestF.SITs = append([]*sit.SIT(nil), bestF.SITs...)
+	}
+	res.Sel, res.Err = bestF.Sel*bestRest.Sel, bestErr
+	res.head, res.rest = bestF, bestRest
 	//lint:ignore hotalloc cold path: the winner's chain key is materialized once per computed subset
-	best.key = bestHead + bestRest
-	return best
+	res.key = bestHead + bestRest.key
+	return res
+}
+
+// bracketJoin returns the concatenation of "["+k+"]" over keys, sorted
+// as those bracketed strings sort — the separable chain key — in one
+// allocation of n bytes. It sorts keys in place.
+func bracketJoin(keys []string, n int) string {
+	slices.SortFunc(keys, func(a, b string) int {
+		switch {
+		case concatLess(a, "]", b, "]"):
+			return -1
+		case concatLess(b, "]", a, "]"):
+			return 1
+		}
+		return 0
+	})
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, k := range keys {
+		sb.WriteByte('[')
+		sb.WriteString(k)
+		sb.WriteByte(']')
+	}
+	return sb.String()
 }
 
 // ensureChainKeys builds the run's interned chain-key tables on the first
@@ -658,7 +797,7 @@ func concatLess(a1, a2, b1, b2 string) bool {
 // union uses the run's precomputed per-position table sets, keeping the
 // cached path allocation-free.
 func (r *Run) EstimateCardinality(set engine.PredSet) float64 {
-	sel := r.GetSelectivity(set).Sel
+	sel := r.selectivity(set).Sel
 	var tables engine.TableSet
 	for s := uint64(set); s != 0; s &= s - 1 {
 		tables = tables.Union(r.predTables[bits.TrailingZeros64(s)])

@@ -64,7 +64,7 @@ func (r *Run) bestSideHist(attr engine.AttrID, cond engine.PredSet) *sit.SIT {
 	var best *sit.SIT
 	bestMatched := -1
 	for _, h := range r.candidates(attr, cond) {
-		m := h.MatchedSet(r.Query.Preds, cond).Len()
+		m := r.matchedSet(h, cond).Len()
 		if m > bestMatched {
 			best, bestMatched = h, m
 		}
@@ -72,13 +72,20 @@ func (r *Run) bestSideHist(attr engine.AttrID, cond engine.PredSet) *sit.SIT {
 	return best
 }
 
+// derivedKey keys the per-run derivation memo by identity, like sitPair:
+// pool statistics are shared objects, so equal pointers mean equal inputs.
+type derivedKey struct {
+	s2d   *sit.SIT2D
+	other *sit.SIT
+}
+
 // derive joins the 2-D SIT against the other side's histogram and wraps the
 // resulting conditional distribution as a transient SIT whose expression is
 // the join predicate plus both inputs' expressions.
 func (r *Run) derive(joinPred int, s2d *sit.SIT2D, other *sit.SIT) *sit.SIT {
-	key := s2d.ID() + "⋈" + other.ID()
+	key := derivedKey{s2d, other}
 	if r.derivedMemo == nil {
-		r.derivedMemo = make(map[string]*sit.SIT)
+		r.derivedMemo = make(map[derivedKey]*sit.SIT)
 	}
 	if d, ok := r.derivedMemo[key]; ok {
 		return d

@@ -55,8 +55,7 @@ func (NInd) JoinError(r *Run, pred int, cond engine.PredSet, hl, hr *sit.SIT) fl
 
 func nIndSide(r *Run, cond engine.PredSet, attr engine.AttrID, h *sit.SIT) float64 {
 	side := r.sideCond(cond, attr)
-	matched := h.MatchedSet(r.Query.Preds, side)
-	return float64(side.Len() - matched.Len())
+	return float64(side.Len() - r.matchedSet(h, side).Len())
 }
 
 // Diff is the improved error function of §3.5: the syntactic count |Q−Q'|
@@ -90,7 +89,7 @@ func diffSide(r *Run, cond engine.PredSet, attr engine.AttrID, h *sit.SIT) float
 	if side.Empty() {
 		return 0
 	}
-	if h.MatchedSet(r.Query.Preds, side) == side {
+	if r.matchedSet(h, side) == side {
 		return 0
 	}
 	return 1 - h.Diff

@@ -43,6 +43,9 @@ type joinApprox struct {
 // against the pool with the conditioning set grown by the factor predicates
 // already processed. Errors accumulate additively, generalizing nInd's
 // |P_i|·|Q_i−Q'_i| (see DESIGN.md).
+//
+// The SIT slice is carved from the run's arena: like every Result of the
+// run, it is valid until Release.
 func (r *Run) ApproxFactor(pp, qq engine.PredSet) (selF, errF float64, sits []*sit.SIT) {
 	r.budget.poll()
 	fs := faults.Active() // nil when the harness is off; Fire is nil-safe
@@ -55,6 +58,10 @@ func (r *Run) ApproxFactor(pp, qq engine.PredSet) (selF, errF float64, sits []*s
 	q := r.Query
 	cond := qq
 	selF = 1
+	// Reserve the worst case (two SITs per join) so the appends below stay
+	// in the arena's current chunk.
+	r.reserveSITs(2 * pp.Len())
+	start := len(r.sitBuf)
 
 	process := func(i int) {
 		p := q.Preds[i]
@@ -62,12 +69,12 @@ func (r *Run) ApproxFactor(pp, qq engine.PredSet) (selF, errF float64, sits []*s
 			sel, err, hl, hr := r.approxJoin(i, cond)
 			selF *= sel
 			errF += err
-			sits = append(sits, hl, hr)
+			r.sitBuf = append(r.sitBuf, hl, hr)
 		} else {
 			sel, err, h := r.approxFilter(i, cond)
 			selF *= sel
 			errF += err
-			sits = append(sits, h)
+			r.sitBuf = append(r.sitBuf, h)
 		}
 		cond = cond.Add(i)
 	}
@@ -84,7 +91,8 @@ func (r *Run) ApproxFactor(pp, qq engine.PredSet) (selF, errF float64, sits []*s
 	if fs.Fire(faults.NaNSelectivity) {
 		selF = math.NaN()
 	}
-	return selF, errF, sits
+	end := len(r.sitBuf)
+	return selF, errF, r.sitBuf[start:end:end]
 }
 
 // approxFilter approximates Sel(pred|cond) for a filter predicate,
@@ -192,6 +200,16 @@ func (r *Run) candidates(attr engine.AttrID, cond engine.PredSet) []*sit.SIT {
 		return r.matcherFor().Candidates(attr, cond)
 	}
 	return r.Est.Pool.Candidates(r.Query.Preds, attr, cond)
+}
+
+// matchedSet returns the positions within q covered by h's expression
+// (h.MatchedSet), from the run matcher's precomputed masks on the fast
+// path.
+func (r *Run) matchedSet(h *sit.SIT, q engine.PredSet) engine.PredSet {
+	if r.fast {
+		return r.matcherFor().MatchedSet(h, q)
+	}
+	return h.MatchedSet(r.Query.Preds, q)
 }
 
 // sideCond returns the portion of cond that can influence attr: the

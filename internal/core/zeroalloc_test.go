@@ -2,7 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
+
+	"condsel/internal/engine"
 )
 
 // TestCachedPathZeroAllocs is the in-repo half of the CI alloc-gate: once
@@ -44,5 +48,63 @@ func TestCachedPathZeroAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// coldAllocCeiling caps TestColdPathAllocs' allocations per cold estimate.
+// Building the matcher, the component index, every subset's Result and
+// factor slice and every candidate's SIT slice on the heap cost 2475
+// allocations per estimate in this case; run-owned scratch, winner-only
+// results and one-allocation separable chain keys bring it to about 600.
+const coldAllocCeiling = 700
+
+// TestColdPathAllocs bounds the heap traffic of the selectivity-cache miss
+// path: with the run pool warm, estimating a query whose filter constants
+// were never seen before (so the full set and every filter-bearing subset
+// miss the cross-query cache and run the DP) must stay under
+// coldAllocCeiling allocations. What remains is mostly the cache publish
+// (the entry and its encoded predicates and factors), the chain-key
+// strings and the winners' SIT slices the published entries share.
+func TestColdPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and randomizes sync.Pool reuse; allocation counts are only meaningful without -race")
+	}
+	c := dpBenchCaseN(8)
+	// Fresh constants: every variant shifts each filter to a new range.
+	const warm, measured = 4, 16
+	variants := make([]*engine.Query, warm+measured)
+	for v := range variants {
+		preds := append([]engine.Pred(nil), c.q.Preds...)
+		for k, p := range preds {
+			if !p.IsJoin() {
+				lo := p.Lo + int64(100*(v+1))
+				preds[k] = engine.Filter(p.Attr, lo, lo+3)
+			}
+		}
+		variants[v] = engine.NewQuery(c.cat, preds)
+	}
+	est := NewEstimator(c.cat, c.pool, Diff{})
+	est.Cache = NewSelCache(4096)
+	ResetHistJoinCache()
+	op := func(q *engine.Query) {
+		r := est.NewRun(q)
+		r.EstimateCardinality(q.All())
+		r.Release()
+	}
+	// A paused collector keeps the run pool (and its grown scratch) intact.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, q := range variants[:warm] {
+		op(q)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, q := range variants[warm:] {
+		op(q)
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.Mallocs-before.Mallocs) / measured
+	t.Logf("cold estimate: %.1f allocs/op", perOp)
+	if perOp > coldAllocCeiling {
+		t.Fatalf("cold estimate allocated %.1f objects/op, want <= %d", perOp, coldAllocCeiling)
 	}
 }

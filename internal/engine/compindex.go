@@ -16,28 +16,50 @@ import "math/bits"
 // components ascend by smallest member, which is the order the peeling loop
 // discovers them in). Callers must treat returned slices as read-only.
 //
-// A CompIndex is single-goroutine state, like the run memo it serves.
+// A CompIndex is reusable scratch: Reset rebinds it to another predicate
+// slice, clearing the memo in place and rewinding the arenas the memoized
+// partitions live in, so an index kept across queries (as a pooled
+// core.Run keeps one) stops allocating once its arenas have grown to the
+// largest query it has served. Returned slices are valid until the next
+// Reset. Like the run memo it serves, a CompIndex is single-goroutine
+// state.
 type CompIndex struct {
 	adj    []PredSet  // adj[i]: predicates sharing a table with predicate i
 	tables []TableSet // tables[i]: tables referenced by predicate i
-	memo   map[PredSet]compEntry
+	memo   map[PredSet]compSpan
+
+	// Arenas holding every memoized partition: component k of an entry is
+	// sets[lo+k], with its tables at tabs[lo+k]. They grow by append, so
+	// the offsets stay valid across growth.
+	sets []PredSet
+	tabs []TableSet
 }
 
-// compEntry caches one subset's partition alongside each component's table
-// set (sideways lookups by table would otherwise rescan the predicates).
-type compEntry struct {
-	sets   []PredSet
-	tables []TableSet
-}
+// compSpan locates one subset's memoized partition in the arenas.
+type compSpan struct{ lo, hi int32 }
 
 // NewCompIndex builds the adjacency index for the predicate slice.
 func NewCompIndex(c *Catalog, preds []Pred) *CompIndex {
+	ci := new(CompIndex)
+	ci.Reset(c, preds)
+	return ci
+}
+
+// Reset rebuilds the adjacency index for another predicate slice, keeping
+// the memo's buckets and every slice's capacity.
+func (ci *CompIndex) Reset(c *Catalog, preds []Pred) {
 	n := len(preds)
-	ci := &CompIndex{
-		adj:    make([]PredSet, n),
-		tables: make([]TableSet, n),
-		memo:   make(map[PredSet]compEntry),
+	if cap(ci.adj) < n {
+		ci.adj = make([]PredSet, n)
+		ci.tables = make([]TableSet, n)
 	}
+	ci.adj, ci.tables = ci.adj[:n], ci.tables[:n]
+	clear(ci.adj)
+	if ci.memo == nil {
+		ci.memo = make(map[PredSet]compSpan)
+	}
+	clear(ci.memo)
+	ci.sets, ci.tabs = ci.sets[:0], ci.tabs[:0]
 	for i := range preds {
 		ci.tables[i] = preds[i].Tables(c)
 	}
@@ -49,15 +71,14 @@ func NewCompIndex(c *Catalog, preds []Pred) *CompIndex {
 			}
 		}
 	}
-	return ci
 }
 
 // entry returns (computing and memoizing) the subset's partition.
-func (ci *CompIndex) entry(set PredSet) compEntry {
+func (ci *CompIndex) entry(set PredSet) compSpan {
 	if e, ok := ci.memo[set]; ok {
 		return e
 	}
-	var e compEntry
+	e := compSpan{lo: int32(len(ci.sets))}
 	for rest := set; rest != 0; {
 		seed := PredSet(1) << uint(bits.TrailingZeros64(uint64(rest)))
 		comp, frontier := seed, seed
@@ -73,10 +94,11 @@ func (ci *CompIndex) entry(set PredSet) compEntry {
 			comp = comp.Union(next)
 			frontier = next
 		}
-		e.sets = append(e.sets, comp)
-		e.tables = append(e.tables, tabs)
+		ci.sets = append(ci.sets, comp)
+		ci.tabs = append(ci.tabs, tabs)
 		rest = rest.Minus(comp)
 	}
+	e.hi = int32(len(ci.sets))
 	ci.memo[set] = e
 	return e
 }
@@ -85,7 +107,11 @@ func (ci *CompIndex) entry(set PredSet) compEntry {
 // Components(cat, preds, set) in value and order. The returned slice is
 // shared with the memo; callers must not modify it.
 func (ci *CompIndex) Components(set PredSet) []PredSet {
-	return ci.entry(set).sets
+	e := ci.entry(set)
+	if e.lo == e.hi {
+		return nil
+	}
+	return ci.sets[e.lo:e.hi:e.hi]
 }
 
 // ComponentWith returns the component of set whose referenced tables include
@@ -94,9 +120,9 @@ func (ci *CompIndex) Components(set PredSet) []PredSet {
 // components cannot influence an attribute of t.
 func (ci *CompIndex) ComponentWith(set PredSet, t TableID) PredSet {
 	e := ci.entry(set)
-	for k, comp := range e.sets {
-		if e.tables[k].Has(t) {
-			return comp
+	for k := e.lo; k < e.hi; k++ {
+		if ci.tabs[k].Has(t) {
+			return ci.sets[k]
 		}
 	}
 	return 0

@@ -39,13 +39,15 @@ func compCase(rng *rand.Rand) (*Catalog, []Pred) {
 // TestCompIndexMatchesComponents: the index returns exactly what the
 // union-find Components returns — same partition, same order — for every
 // subset of many random predicate slices, and ComponentWith agrees with a
-// scan over PredsTables.
+// scan over PredsTables. One index serves every trial through Reset, so a
+// stale adjacency or memoized partition from an earlier slice would show.
 func TestCompIndexMatchesComponents(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(41))
+	ci := new(CompIndex)
 	for trial := 0; trial < 200; trial++ {
 		cat, preds := compCase(rng)
-		ci := NewCompIndex(cat, preds)
+		ci.Reset(cat, preds)
 		full := FullPredSet(len(preds))
 		for set := PredSet(0); set <= full; set++ {
 			want := Components(cat, preds, set)
@@ -78,5 +80,25 @@ func TestCompIndexMatchesComponents(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompIndexResetZeroAllocs: an index rebound to a predicate slice of
+// the size it has already served allocates nothing — Reset clears the memo
+// and rewinds the arenas, and the queries refill them in place.
+func TestCompIndexResetZeroAllocs(t *testing.T) {
+	cat, preds := compCase(rand.New(rand.NewSource(43)))
+	full := FullPredSet(len(preds))
+	ci := NewCompIndex(cat, preds)
+	queries := func() {
+		ci.Reset(cat, preds)
+		for set := PredSet(0); set <= full; set++ {
+			ci.Components(set)
+			ci.ComponentWith(set, 0)
+		}
+	}
+	queries() // grow the memo and arenas once
+	if n := testing.AllocsPerRun(20, queries); n != 0 {
+		t.Fatalf("Reset+Components allocated %.1f objects/op, want 0", n)
 	}
 }

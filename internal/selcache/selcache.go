@@ -19,23 +19,33 @@
 // # Concurrency
 //
 // Each shard owns a fixed array of slots, allocated once at construction.
-// A slot is an atomic pointer to an immutable entry (key, value, and the
-// entry's atomic recency tick), and a parallel array of atomic key hashes
-// acts as a filter in front of it. Readers scan the shard's hashes, load
-// the entry behind each match and compare its full key — no lock, no
-// allocation, no write to any shared structure beyond the entry's recency
-// tick and the hit/miss counters. Writers (Put, EvictIf, EvictAll, Reset)
-// serialize on a per-shard mutex and overwrite slots in place, one atomic
-// store each. A slot overwritten between a reader's hash check and its
-// entry load makes the key comparison fail: the worst a race can cost is a
-// miss, never a wrong value. A publish allocates only the new entry, so
-// the cache produces no garbage beyond the values it is asked to hold.
+// A slot is an atomic pointer to an immutable entry (key and value); two
+// parallel arrays of atomic words sit beside the slots: the key hashes,
+// which act as a filter, and the recency ticks. Readers scan the shard's
+// hashes, load the entry behind each match and compare its full key — no
+// lock, no allocation, no write to any shared structure beyond the slot's
+// recency tick and the hit/miss counters. Writers (Put, EvictIf,
+// EvictAll, Reset) serialize on a per-shard mutex and overwrite slots in
+// place, one atomic store each. A slot overwritten between a reader's hash
+// check and its entry load makes the key comparison fail: the worst a race
+// can cost is a miss, never a wrong value. A publish allocates only the
+// new entry, so the cache produces no garbage beyond the values it is
+// asked to hold.
 //
-// Recency is a global atomic clock: every access stamps the entry with a
+// Recency is a global atomic clock: every access stamps the slot with a
 // fresh, strictly increasing tick, and a full shard overwrites the slot
 // with the minimum tick — exact LRU per shard, deterministic because ticks
 // are unique. Counters (hits, misses, evictions) are atomic and exposed via
 // Stats.
+//
+// The ticks live in one contiguous array per shard, so the victim search
+// reads adjacent words instead of chasing every entry pointer. The price
+// is one more benign race: a reader that matched an entry may stamp the
+// slot's tick after a writer has replaced or removed that entry, so the
+// newcomer (or the emptied slot) looks recently used. A late stamp can
+// only change which entry a later Put evicts — never what a Get returns —
+// and an empty slot is recognised by its nil entry, not by its tick, so it
+// is still filled before any entry is evicted.
 package selcache
 
 import (
@@ -77,15 +87,14 @@ type Cache[K comparable, V any] struct {
 type shard[K comparable, V any] struct {
 	mu     sync.Mutex // serializes writers (slot stores)
 	hashes []atomic.Uint64
+	ticks  []atomic.Uint64 // recency per slot, stamped by readers too
 	slots  []atomic.Pointer[centry[K, V]]
 }
 
-// centry is one cached entry. Key and value are immutable after publish;
-// only the recency tick is written in place (atomically, by readers).
+// centry is one cached entry, immutable after publish.
 type centry[K comparable, V any] struct {
-	key  K
-	val  V
-	tick atomic.Uint64
+	key K
+	val V
 }
 
 // New returns a cache holding at most capacity entries, hashed by hash,
@@ -120,11 +129,13 @@ func NewSharded[K comparable, V any](capacity, shards int, hash func(K) uint64) 
 	}
 	perShard := (capacity + shards - 1) / shards
 	hashes := make([]atomic.Uint64, shards*perShard)
+	ticks := make([]atomic.Uint64, shards*perShard)
 	slots := make([]atomic.Pointer[centry[K, V]], shards*perShard)
 	c := &Cache[K, V]{shards: make([]shard[K, V], shards), hash: hash}
 	for i := range c.shards {
 		lo, hi := i*perShard, (i+1)*perShard
 		c.shards[i].hashes = hashes[lo:hi:hi]
+		c.shards[i].ticks = ticks[lo:hi:hi]
 		c.shards[i].slots = slots[lo:hi:hi]
 	}
 	return c
@@ -172,7 +183,7 @@ func (c *Cache[K, V]) shardFor(h uint64) *shard[K, V] {
 // Get returns the cached value for key and whether it was present, marking
 // the entry most recently used on a hit. The lookup is lock-free: it scans
 // the shard's hash filter and compares the full key of each entry behind a
-// matching hash, touching nothing shared but the entry's recency tick and
+// matching hash, touching nothing shared but the slot's recency tick and
 // the hit/miss counters. When the fault harness's CacheEvictStorm point
 // fires, every entry is dropped ahead of the lookup — correctness layers
 // above must treat the cache as advisory, and this is the hook that proves
@@ -191,7 +202,7 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 		// The slot may have been overwritten since its hash was read; the
 		// key comparison on the loaded entry is what decides.
 		if e := s.slots[i].Load(); e != nil && e.key == key {
-			e.tick.Store(c.clock.Add(1))
+			s.ticks[i].Store(c.clock.Add(1))
 			c.hits.Add(1)
 			return e.val, true
 		}
@@ -206,6 +217,9 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 // value and recency. The slot is chosen under the shard's writer mutex —
 // the slot already holding key, else an empty slot, else the minimum-tick
 // slot — and overwritten in place; the new entry is the only allocation.
+// The scan reads the shard's hash and tick arrays; it loads an entry only
+// behind a hash equal to key's (a possible refresh) or to the empty-slot
+// value (a possible empty slot).
 func (c *Cache[K, V]) Put(key K, val V) {
 	h := c.hash(key)
 	e := &centry[K, V]{key: key, val: val}
@@ -214,24 +228,26 @@ func (c *Cache[K, V]) Put(key K, val V) {
 	defer s.mu.Unlock()
 	empty, victim := -1, -1
 	minTick := ^uint64(0)
-	for i := range s.slots {
-		old := s.slots[i].Load()
-		if old == nil {
-			if empty < 0 {
-				empty = i
-			}
-			continue
-		}
+	for i := range s.hashes {
 		// The stored hash is consistent with the slot under the mutex, so
-		// it filters before the full key comparison.
-		if s.hashes[i].Load() == h && old.key == key {
-			e.tick.Store(c.clock.Add(1))
-			s.slots[i].Store(e)
-			return
+		// it filters before any entry load.
+		if hv := s.hashes[i].Load(); hv == h || hv == emptyHash {
+			old := s.slots[i].Load()
+			if old == nil {
+				if empty < 0 {
+					empty = i
+				}
+				continue
+			}
+			if hv == h && old.key == key {
+				s.ticks[i].Store(c.clock.Add(1))
+				s.slots[i].Store(e)
+				return
+			}
 		}
 		// Exact LRU: ticks are unique, so the minimum is a deterministic
 		// victim.
-		if t := old.tick.Load(); t < minTick {
+		if t := s.ticks[i].Load(); t < minTick {
 			minTick, victim = t, i
 		}
 	}
@@ -240,7 +256,7 @@ func (c *Cache[K, V]) Put(key K, val V) {
 		slot = victim
 		c.evictions.Add(1)
 	}
-	e.tick.Store(c.clock.Add(1))
+	s.ticks[slot].Store(c.clock.Add(1))
 	s.hashes[slot].Store(h)
 	s.slots[slot].Store(e)
 }
@@ -310,6 +326,7 @@ func (c *Cache[K, V]) EvictIf(drop func(key K) bool) int {
 			if e := s.slots[j].Load(); e != nil && drop(e.key) {
 				s.slots[j].Store(nil)
 				s.hashes[j].Store(emptyHash)
+				s.ticks[j].Store(0)
 				n++
 			}
 		}

@@ -332,6 +332,91 @@ func TestSharedShardAndSentinelHash(t *testing.T) {
 	}
 }
 
+// TestEmptiedSlotBeatsLateStamp: a slot emptied by EvictIf or Reset is
+// refilled before any entry is evicted, even after a late reader has
+// stamped its tick (a reader that matched the old entry just before the
+// writer removed it). The tick array is not what marks a slot empty.
+func TestEmptiedSlotBeatsLateStamp(t *testing.T) {
+	t.Parallel()
+	lateStampAll := func(c *Cache[string, int]) {
+		s := &c.shards[0]
+		for i := range s.ticks {
+			s.ticks[i].Store(c.clock.Add(1))
+		}
+	}
+	keys := []string{"a", "b", "c", "d"}
+
+	c := NewSharded[string, int](len(keys), 1, HashString)
+	for i, k := range keys {
+		c.Put(k, i)
+	}
+	if n := c.EvictIf(func(k string) bool { return k == "b" }); n != 1 {
+		t.Fatalf("EvictIf dropped %d, want 1", n)
+	}
+	lateStampAll(c)
+	c.Put("e", 4)
+	for i, k := range append(keys, "e") {
+		if v, ok := c.Get(k); k != "b" && (!ok || v != i) {
+			t.Fatalf("after EvictIf and a late stamp: Get(%s) = %d, %v; want %d", k, v, ok, i)
+		}
+	}
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Fatalf("evictions = %d, want only the EvictIf one", ev)
+	}
+
+	c.Reset()
+	lateStampAll(c)
+	for i, k := range keys {
+		c.Put(k, 10+i)
+	}
+	for i, k := range keys {
+		if v, ok := c.Get(k); !ok || v != 10+i {
+			t.Fatalf("after Reset and a late stamp: Get(%s) = %d, %v; want %d", k, v, ok, 10+i)
+		}
+	}
+	if ev := c.Stats().Evictions; ev != 0 {
+		t.Fatalf("refilling a Reset cache evicted %d entries", ev)
+	}
+}
+
+// TestOneShardStress mixes Get, Put and EvictIf on a single small shard
+// from many goroutines, so slots are overwritten and emptied under readers
+// all the time (and late stamps land on the wrong entries). Every value
+// encodes its key: a Get must never return a value stored under another
+// key. Run with -race it is also the tick array's data-race proof.
+func TestOneShardStress(t *testing.T) {
+	t.Parallel()
+	const seed = 11 // constant seed: failures reproduce with the logged value
+	c := NewSharded[int, int](8, 1, func(k int) uint64 { return uint64(k % 3) })
+	value := func(k int) int { return 1000*k + 7 }
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(g)))
+			for i := 0; i < 3000; i++ {
+				k := rng.Intn(24)
+				switch op := rng.Intn(10); {
+				case op < 5:
+					if v, ok := c.Get(k); ok && v != value(k) {
+						t.Errorf("seed %d: Get(%d) = %d, want %d", seed, k, v, value(k))
+						return
+					}
+				case op < 9:
+					c.Put(k, value(k))
+				default:
+					c.EvictIf(func(key int) bool { return key%5 == k%5 })
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := c.Len(); n > 8 {
+		t.Fatalf("seed %d: %d entries in an 8-slot shard", seed, n)
+	}
+}
+
 // fullCache returns a one-shard cache of capacity n filled with keys of
 // generation 1, so every Put of another generation evicts.
 func fullCache(n int) *Cache[genKey, uint64] {

@@ -42,13 +42,16 @@ func matcherCase(rng *rand.Rand) (*engine.Catalog, []engine.Pred, *Pool) {
 // TestMatcherMatchesPoolCandidates: for every attribute and every
 // conditioning subset, the Matcher returns exactly what Pool.Candidates
 // returns — same SIT pointers in the same order — on cold and cached
-// lookups alike.
+// lookups alike, and its MatchedSet agrees with SIT.MatchedSet. One
+// matcher serves every trial through Reset, so stale projections or cached
+// lookups from an earlier query would show.
 func TestMatcherMatchesPoolCandidates(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
+	m := new(Matcher)
 	for trial := 0; trial < 40; trial++ {
 		cat, preds, pool := matcherCase(rng)
-		m := NewMatcher(pool, preds)
+		m.Reset(pool, preds)
 		full := engine.FullPredSet(len(preds))
 		var attrs []engine.AttrID
 		for ti := 0; ti < cat.NumTables(); ti++ {
@@ -67,6 +70,12 @@ func TestMatcherMatchesPoolCandidates(t *testing.T) {
 						if got[k] != want[k] {
 							t.Fatalf("trial %d pass %d attr %d cond %v: candidate %d = %s, want %s",
 								trial, pass, attr, cond, k, got[k].ID(), want[k].ID())
+						}
+					}
+					for _, h := range pool.OnAttr(attr) {
+						if got, want := m.MatchedSet(h, cond), h.MatchedSet(preds, cond); got != want {
+							t.Fatalf("trial %d attr %d cond %v: MatchedSet(%s) = %v, want %v",
+								trial, attr, cond, h.ID(), got, want)
 						}
 					}
 				}
@@ -88,5 +97,33 @@ func TestMatcherCountsMatchCalls(t *testing.T) {
 	m.Candidates(attr, 0) // cache hit still counts
 	if got := pool.MatchCalls(); got != 2 {
 		t.Fatalf("MatchCalls = %d, want 2", got)
+	}
+}
+
+// TestMatcherResetZeroAllocs: a matcher rebound to a query of the size it
+// has already served allocates nothing — Reset clears its map and rewinds
+// its arenas, and the lookups refill them in place.
+func TestMatcherResetZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	cat, preds, pool := matcherCase(rng)
+	full := engine.FullPredSet(len(preds))
+	var attrs []engine.AttrID
+	for ti := 0; ti < cat.NumTables(); ti++ {
+		attrs = append(attrs, cat.AttrsOfTable(engine.TableID(ti))...)
+	}
+	m := NewMatcher(pool, preds)
+	lookups := func() {
+		m.Reset(pool, preds)
+		for _, attr := range attrs {
+			for cond := engine.PredSet(0); cond <= full; cond++ {
+				for _, h := range m.Candidates(attr, cond) {
+					m.MatchedSet(h, cond)
+				}
+			}
+		}
+	}
+	lookups() // grow the map and arenas once
+	if n := testing.AllocsPerRun(20, lookups); n != 0 {
+		t.Fatalf("Reset+Candidates allocated %.1f objects/op, want 0", n)
 	}
 }

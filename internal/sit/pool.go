@@ -99,6 +99,12 @@ type attrIndex struct {
 	// expression is a strict subset of sits[j]'s (the §3.3 maximality
 	// relation: k is dropped whenever any of supersets[k] also matches).
 	supersets [][]int32
+
+	// sizes[k] is the size of sits[k]'s expression set, and pos inverts
+	// sits (SIT → k): the per-query Matcher tests containment as a mask
+	// popcount against sizes and finds a scored SIT's mask through pos.
+	sizes []int
+	pos   map[*SIT]int32
 }
 
 // index returns the candidate index for the pool's current contents,
@@ -151,7 +157,11 @@ func (p *Pool) buildIndex(gen uint64) (*poolIndex, []QuarantineRecord) {
 		}
 		sort.Slice(ai.sits, func(i, j int) bool { return ai.sits[i].ID() < ai.sits[j].ID() })
 		ai.supersets = make([][]int32, len(ai.sits))
+		ai.sizes = make([]int, len(ai.sits))
+		ai.pos = make(map[*SIT]int32, len(ai.sits))
 		for k, s := range ai.sits {
+			ai.sizes[k] = len(s.exprSet)
+			ai.pos[s] = int32(k)
 			for j, t := range ai.sits {
 				if j != k && s.ExprSubsetOf(t) && t.ExprSize() > s.ExprSize() {
 					ai.supersets[k] = append(ai.supersets[k], int32(j))
@@ -431,14 +441,13 @@ func (p *Pool) Candidates(preds []engine.Pred, attr engine.AttrID, q engine.Pred
 	for k, s := range ai.sits {
 		matched[k] = s.MatchesSubset(preds, q)
 	}
-	return ai.maximal(matched)
+	return ai.appendMaximal(nil, matched)
 }
 
-// maximal returns the matched SITs that survive the §3.3 maximality rule
-// (no other matched SIT's expression strictly contains theirs), in the
-// index's canonical ID order.
-func (ai *attrIndex) maximal(matched []bool) []*SIT {
-	var out []*SIT
+// appendMaximal appends to out the matched SITs that survive the §3.3
+// maximality rule (no other matched SIT's expression strictly contains
+// theirs), in the index's canonical ID order.
+func (ai *attrIndex) appendMaximal(out []*SIT, matched []bool) []*SIT {
 	for k, ok := range matched {
 		if !ok {
 			continue
